@@ -18,25 +18,19 @@ void JFat::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
   // train from the blob as the wire codec delivers it.
   if (broadcast_.empty()) {
     broadcast_bytes_ = 0;
-    const auto& channel = engine().channel();
-    if (engine().remote_active()) {
-      // Distributed root: capture the encoded broadcast so net_save_context
-      // ships the exact message; decoding it here is bit- and byte-identical
-      // to the fused downlink (identity framing round-trips raw float bits,
-      // compressed framing is the same encode+decode expression).
-      net_bcast_msg_ = channel.encode_down(model_.save_all());
-      broadcast_bytes_ += net_bcast_msg_.wire_bytes();
-      broadcast_ = channel.decode(net_bcast_msg_);
-    } else {
-      broadcast_ = channel.downlink(model_.save_all(), &broadcast_bytes_);
-    }
+    broadcast_ =
+        engine().channel().downlink(model_.save_all(), &broadcast_bytes_);
   }
+  configure_round(tasks.empty() ? cfg_.sgd.lr : tasks.front().lr);
+}
+
+void JFat::configure_round(float lr) {
   at_ = LocalAtConfig{};
   at_.epsilon = cfg_.epsilon0;
   at_.pgd_steps = adversarial_ ? cfg_.pgd_steps : 0;
   at_.adversarial = adversarial_;
   round_sgd_ = cfg_.sgd;
-  if (!tasks.empty()) round_sgd_.lr = tasks.front().lr;
+  round_sgd_.lr = lr;
 }
 
 fed::Upload JFat::train_client(const fed::TaskSpec& task) {
@@ -70,69 +64,41 @@ fed::Upload JFat::train_client(const fed::TaskSpec& task) {
   up.bytes_down = broadcast_bytes_;
   // Uplink through the engine's channel: the server aggregates the update as
   // the codec decodes it (delta codecs reference the broadcast both ends hold).
-  if (net_worker_) {
-    // Worker mode: stage the ENCODED message — the root decodes it against
-    // its identical broadcast reference, so skipping the local decode loses
-    // nothing and the root-side blob matches the fused uplink bit-for-bit.
-    comm::WireMessage msg =
-        engine().channel().encode_up(local.save_all(), &broadcast_);
-    up.bytes_up += msg.wire_bytes();
-    up.payload = std::move(msg);
-  } else {
-    up.payload =
-        engine().channel().uplink(local.save_all(), &broadcast_, &up.bytes_up);
-  }
+  up.payload =
+      engine().channel().uplink(local.save_all(), &broadcast_, &up.bytes_up);
   return up;
 }
 
 // ---- Distributed-runtime hooks (DESIGN.md §10) ------------------------------
 
-void JFat::net_save_context(comm::FrameWriter& out) const {
-  out.wire_msg(net_bcast_msg_);
-  out.i64(broadcast_bytes_);
+void JFat::net_save_round(comm::FrameWriter& out) const {
   out.f32(round_sgd_.lr);
 }
 
-void JFat::net_load_context(comm::FrameReader& in) {
-  broadcast_ = engine().channel().decode(in.wire_msg());
-  broadcast_bytes_ = in.i64();
-  at_ = LocalAtConfig{};
-  at_.epsilon = cfg_.epsilon0;
-  at_.pgd_steps = adversarial_ ? cfg_.pgd_steps : 0;
-  at_.adversarial = adversarial_;
-  round_sgd_ = cfg_.sgd;
-  round_sgd_.lr = in.f32();
-}
-
-void JFat::net_begin_group(const std::vector<fed::TaskSpec>& owned) {
+void JFat::net_load_round(comm::FrameReader& in,
+                          const std::vector<fed::TaskSpec>& owned,
+                          std::vector<nn::ParamBlob> broadcast,
+                          std::int64_t broadcast_bytes) {
+  if (broadcast.size() != 1)
+    throw comm::WireError("jFAT: expected 1 broadcast blob, got " +
+                          std::to_string(broadcast.size()));
   // Pool bookkeeping over the OWNED tasks only: this worker's per-client
   // dispatch counts advance exactly as the single-process run's do.
   clients_.begin_round(owned);
+  broadcast_ = std::move(broadcast.front());
+  broadcast_bytes_ = broadcast_bytes;
+  configure_round(in.f32());
 }
 
 void JFat::net_end_group() { clients_.end_round(); }
 
-void JFat::net_encode_upload(const fed::Upload& up,
-                             comm::FrameWriter& out) const {
-  write_upload_base(up, out);
-  if (up.payload.type() == typeid(comm::WireMessage)) {
-    out.u8(1);  // channel-encoded payload
-    out.wire_msg(std::any_cast<const comm::WireMessage&>(up.payload));
-  } else {
-    out.u8(0);  // dense fp32 payload (net.codec=identity)
-    out.blob(std::any_cast<const nn::ParamBlob&>(up.payload));
-  }
-}
-
-fed::Upload JFat::net_decode_upload(const fed::TaskSpec& /*task*/,
-                                    comm::FrameReader& in) {
-  fed::Upload up;
-  read_upload_base(up, in);
-  if (in.u8() != 0)
-    up.payload = engine().channel().decode(in.wire_msg(), &broadcast_);
-  else
-    up.payload = in.blob();
-  return up;
+void JFat::net_assemble_upload(const fed::TaskSpec& /*task*/,
+                               const std::vector<comm::WireMessage>& tape,
+                               fed::Upload& up) {
+  if (tape.size() != 1)
+    throw comm::WireError("jFAT: expected 1 uplink message, got " +
+                          std::to_string(tape.size()));
+  up.payload = engine().channel().decode(tape.front(), &broadcast_);
 }
 
 void JFat::apply_update(const fed::TaskSpec& /*task*/, fed::Upload&& up,
@@ -148,10 +114,11 @@ void JFat::apply_update(const fed::TaskSpec& /*task*/, fed::Upload&& up,
 
 void JFat::finalize_round(std::int64_t /*t*/) {
   clients_.end_round();
+  // Re-snapshot every round, so each sync dispatch records its broadcast.
+  broadcast_.clear();
   if (averager_.empty()) return;
   model_.load_all(averager_.average());
   averager_.reset();
-  broadcast_.clear();  // model changed: next dispatch re-snapshots
 }
 
 }  // namespace fp::baselines

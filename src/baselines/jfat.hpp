@@ -32,19 +32,21 @@ class JFat final : public fed::FederatedAlgorithm {
                     fed::ApplyMode mode, float mix) override;
   void finalize_round(std::int64_t t) override;
 
-  // Distributed-runtime hooks (DESIGN.md §10): context = the encoded
-  // broadcast + round lr; uploads travel as the channel-encoded WireMessage
-  // (worker mode) or the dense decoded blob (net.codec=identity).
+  // Distributed-runtime hooks (DESIGN.md §10): round state = the lr; the
+  // broadcast and upload blobs travel on the channel's wire tapes.
   bool net_capable() const override { return true; }
-  void net_save_context(comm::FrameWriter& out) const override;
-  void net_load_context(comm::FrameReader& in) override;
-  void net_begin_group(const std::vector<fed::TaskSpec>& owned) override;
+  void net_save_round(comm::FrameWriter& out) const override;
+  void net_load_round(comm::FrameReader& in,
+                      const std::vector<fed::TaskSpec>& owned,
+                      std::vector<nn::ParamBlob> broadcast,
+                      std::int64_t broadcast_bytes) override;
   void net_end_group() override;
-  void net_encode_upload(const fed::Upload& up,
-                         comm::FrameWriter& out) const override;
-  fed::Upload net_decode_upload(const fed::TaskSpec& task,
-                                comm::FrameReader& in) override;
-  void net_set_worker_mode(bool on) override { net_worker_ = on; }
+  void net_assemble_upload(const fed::TaskSpec& task,
+                           const std::vector<comm::WireMessage>& tape,
+                           fed::Upload& up) override;
+
+  /// Local-training settings of a round at learning rate `lr`.
+  void configure_round(float lr);
 
   Rng init_rng_;  ///< seeds weight init (deterministic per cfg.fl.seed)
   models::BuiltModel model_;
@@ -57,10 +59,6 @@ class JFat final : public fed::FederatedAlgorithm {
   LocalAtConfig at_;
   nn::SgdConfig round_sgd_;
   fed::BlobAverager averager_;
-
-  // Distributed runtime (DESIGN.md §10).
-  bool net_worker_ = false;  ///< stage encoded uplinks instead of blobs
-  comm::WireMessage net_bcast_msg_;  ///< root: the broadcast as encoded
 };
 
 }  // namespace fp::baselines

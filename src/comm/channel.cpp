@@ -1,11 +1,19 @@
 #include "comm/channel.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace fp::comm {
+
+namespace {
+thread_local WireTape* tls_tape = nullptr;
+}  // namespace
+
+WireTape::Scope::Scope(WireTape* tape) : saved_(tls_tape) { tls_tape = tape; }
+WireTape::Scope::~Scope() { tls_tape = saved_; }
 
 Channel::Channel(const CommConfig& cfg)
     : cfg_(cfg), codec_(make_codec(cfg)), net_(cfg.model_network) {}
@@ -23,15 +31,7 @@ nn::ParamBlob Channel::downlink(nn::ParamBlob blob,
   const bool dense = !cfg_.compress_downlink ||
                      codec_->kind() == CodecKind::kIdentity ||
                      codec_->kind() == CodecKind::kTopK;
-  if (dense) {
-    // Identity framing: skip the encode/decode copy, the bytes are the
-    // dense fp32 payload either way and the values are bit-identical.
-    if (wire_bytes) *wire_bytes += dense_wire_bytes(blob);
-    return blob;
-  }
-  const WireMessage msg = codec_->encode(blob, nullptr);
-  if (wire_bytes) *wire_bytes += msg.wire_bytes();
-  return codec_->decode(msg, nullptr);
+  return transfer(std::move(blob), nullptr, dense, wire_bytes, "encode_down");
 }
 
 nn::ParamBlob Channel::uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
@@ -39,32 +39,33 @@ nn::ParamBlob Channel::uplink(nn::ParamBlob blob, const nn::ParamBlob* ref,
   obs::PhaseTimer encode_phase(obs::Phase::kEncode);
   FP_TRACE_SCOPE_ARG("uplink", "comm", "floats",
                      static_cast<std::int64_t>(blob.size()));
-  if (codec_->kind() == CodecKind::kIdentity) {
+  return transfer(std::move(blob), ref, codec_->kind() == CodecKind::kIdentity,
+                  wire_bytes, "encode_up");
+}
+
+nn::ParamBlob Channel::transfer(nn::ParamBlob blob, const nn::ParamBlob* ref,
+                                bool dense, std::int64_t* wire_bytes,
+                                const char* tape_span) const {
+  WireTape* tape = tls_tape;
+  // A transfer recorded for the socket is a span of its own: the wire
+  // encoding a distributed run pays on top of the fused path.
+  std::optional<obs::SpanScope> recording;
+  if (tape) recording.emplace(tape_span, "comm");
+  if (dense) {
+    // Identity framing: skip the encode/decode copy, the bytes are the
+    // dense fp32 payload either way and the values are bit-identical (the
+    // fast path that keeps golden hashes exact).
     if (wire_bytes) *wire_bytes += dense_wire_bytes(blob);
-    return blob;  // bit-identical fast path keeps golden hashes exact
+    if (tape) tape->messages.push_back(IdentityCodec().encode(blob));
+    return blob;
   }
-  const WireMessage msg = codec_->encode(blob, ref);
+  WireMessage msg = codec_->encode(blob, ref);
   if (wire_bytes) *wire_bytes += msg.wire_bytes();
-  return codec_->decode(msg, ref);
-}
-
-WireMessage Channel::encode_down(const nn::ParamBlob& blob) const {
-  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
-  FP_TRACE_SCOPE("encode_down", "comm");
-  const bool dense = !cfg_.compress_downlink ||
-                     codec_->kind() == CodecKind::kIdentity ||
-                     codec_->kind() == CodecKind::kTopK;
-  if (dense) return IdentityCodec().encode(blob);
-  return codec_->encode(blob, nullptr);
-}
-
-WireMessage Channel::encode_up(const nn::ParamBlob& blob,
-                               const nn::ParamBlob* ref) const {
-  obs::PhaseTimer encode_phase(obs::Phase::kEncode);
-  FP_TRACE_SCOPE("encode_up", "comm");
-  if (codec_->kind() == CodecKind::kIdentity)
-    return IdentityCodec().encode(blob);
-  return codec_->encode(blob, ref);
+  nn::ParamBlob out = codec_->decode(msg, ref);
+  if (tape)
+    tape->messages.push_back(tape->record_decoded ? IdentityCodec().encode(out)
+                                                  : std::move(msg));
+  return out;
 }
 
 nn::ParamBlob Channel::decode(const WireMessage& msg,

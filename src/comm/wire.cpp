@@ -37,6 +37,7 @@ void FrameWriter::wire_msg(const WireMessage& msg) {
 
 void FrameReader::raw(void* p, std::size_t n) {
   if (size_ - off_ < n) throw WireError("frame truncated");
+  if (n == 0) return;  // an empty container's data() may be null
   std::memcpy(p, p_ + off_, n);
   off_ += n;
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,6 +17,19 @@ namespace fp::core {
 namespace {
 
 thread_local bool tls_in_region = false;
+
+/// Marks the calling thread as inside a parallel region for its lifetime,
+/// restoring the previous mark even when the region unwinds.
+class RegionMark {
+ public:
+  RegionMark() : saved_(tls_in_region) { tls_in_region = true; }
+  ~RegionMark() { tls_in_region = saved_; }
+  RegionMark(const RegionMark&) = delete;
+  RegionMark& operator=(const RegionMark&) = delete;
+
+ private:
+  bool saved_;
+};
 
 class ThreadPool {
  public:
@@ -41,14 +55,14 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Runs task(i) for every i in [0, n); blocks until all complete.
+  /// Runs task(i) for every i in [0, n); blocks until all claimed indices
+  /// complete. If a task throws, no further indices are handed out and the
+  /// first exception is rethrown here, on the caller, after the wait.
   void run(std::int64_t n, const std::function<void(std::int64_t)>& task) {
     if (n <= 0) return;
     if (workers_.empty() || n == 1 || tls_in_region) {
-      const bool saved = tls_in_region;
-      tls_in_region = true;
+      RegionMark mark;
       for (std::int64_t i = 0; i < n; ++i) task(i);
-      tls_in_region = saved;
       return;
     }
     // Each run owns its Job: a straggler from a previous job drains from its
@@ -69,6 +83,8 @@ class ThreadPool {
       cv_done_.wait(lock, [&] { return job->completed.load() == n; });
       if (job_ == job) job_.reset();
     }
+    // Every claimed index has completed, so no worker still reads `task`.
+    if (job->error) std::rethrow_exception(job->error);
   }
 
  private:
@@ -77,24 +93,36 @@ class ThreadPool {
     const std::function<void(std::int64_t)>* fn = nullptr;
     std::atomic<std::int64_t> next{0};
     std::atomic<std::int64_t> completed{0};
+    std::exception_ptr error;  ///< first task exception (guarded by mu_)
   };
 
   /// Pulls indices until the job is exhausted. `fn` stays valid for every
   /// claimed index i < n because run() cannot return before all of them
-  /// completed.
+  /// completed. A throwing task is caught here: its index still counts as
+  /// completed, the first exception is kept for run() to rethrow, and the
+  /// indices nobody has claimed yet are retired at once.
   void drain(Job& job) {
-    const bool saved = tls_in_region;
-    tls_in_region = true;
+    RegionMark mark;
     for (;;) {
       const std::int64_t i = job.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= job.n) break;
-      (*job.fn)(i);
-      if (job.completed.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
+      std::int64_t done = 1;
+      try {
+        (*job.fn)(i);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (!job.error) job.error = std::current_exception();
+        }
+        const std::int64_t first_unclaimed = job.next.exchange(job.n);
+        done += std::max<std::int64_t>(0, job.n - first_unclaimed);
+      }
+      if (job.completed.fetch_add(done, std::memory_order_acq_rel) + done ==
+          job.n) {
         std::lock_guard<std::mutex> lock(mu_);
         cv_done_.notify_all();
       }
     }
-    tls_in_region = saved;
   }
 
   void worker_loop() {
@@ -158,10 +186,8 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
   const std::int64_t span = end - begin;
   ThreadPool& p = pool();
   if (span <= grain || p.size() == 1 || tls_in_region) {
-    const bool saved = tls_in_region;
-    tls_in_region = true;
+    RegionMark mark;
     body(begin, end);
-    tls_in_region = saved;
     return;
   }
   // Chunk count balances load (a few chunks per thread) without shrinking

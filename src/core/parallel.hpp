@@ -15,6 +15,10 @@
 // Nested parallel regions execute inline on the calling worker: a client
 // training task that reaches a GEMM runs that GEMM serially on its own
 // thread instead of deadlocking or oversubscribing the pool.
+//
+// Exceptions: if a task throws (on any thread), no further indices start,
+// the region waits for the tasks already running, and the first exception
+// is rethrown on the calling thread. The pool stays usable afterwards.
 #pragma once
 
 #include <cstdint>

@@ -148,6 +148,22 @@ void resolve_spec(ExperimentSpec& spec, bool fast) {
   // auto value needs the built model family and is filled by build_setup.
   if (spec.fl.mem.device_mem_scale <= 0 && !spec.fl.mem.active())
     spec.fl.mem.device_mem_scale = 1.0;
+
+  // Ranges no component can run with: reject them here, naming the key,
+  // instead of crashing (or silently misbehaving) deep inside a run.
+  const auto require = [](bool ok, const char* key, const std::string& want,
+                          std::int64_t got) {
+    if (!ok)
+      throw SpecError(std::string(key) + " must be " + want + " (got " +
+                      std::to_string(got) + ")");
+  };
+  require(spec.fl.batch_size >= 1, "fl.batch_size", ">= 1", spec.fl.batch_size);
+  require(spec.model_width >= 1, "model.width", ">= 1", spec.model_width);
+  require(spec.fl.pgd_steps >= 0, "fl.pgd_steps", ">= 0", spec.fl.pgd_steps);
+  require(spec.fl.clients_per_round <= spec.fl.num_clients,
+          "fl.clients_per_round",
+          "<= fl.num_clients = " + std::to_string(spec.fl.num_clients),
+          spec.fl.clients_per_round);
 }
 
 void resolve_spec(ExperimentSpec& spec) { resolve_spec(spec, fast_mode()); }

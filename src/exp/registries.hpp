@@ -74,8 +74,10 @@ const std::vector<std::string>& method_names();
 /// Replaces every auto/sentinel field with its concrete derived value:
 /// workload defaults (model, classes, train size), the bench seed formula,
 /// FP_BENCH_FAST scaling of sizes/rounds, and the jFAT-vs-others round count.
-/// Validates registry-backed names. Idempotent; a resolved spec serializes to
-/// a config that reproduces the run under any environment.
+/// Validates registry-backed names and the ranges of fl.batch_size,
+/// model.width, fl.pgd_steps and fl.clients_per_round (a SpecError names the
+/// key). Idempotent; a resolved spec serializes to a config that reproduces
+/// the run under any environment.
 void resolve_spec(ExperimentSpec& spec, bool fast);
 void resolve_spec(ExperimentSpec& spec);  ///< fast = fast_mode()
 

@@ -19,56 +19,23 @@ namespace {
 }
 }  // namespace
 
-void RoundMethod::net_save_context(comm::FrameWriter&) const {
+void RoundMethod::net_save_round(comm::FrameWriter&) const {
   not_net_capable();
 }
-void RoundMethod::net_load_context(comm::FrameReader&) { not_net_capable(); }
-void RoundMethod::net_begin_group(const std::vector<TaskSpec>&) {}
+void RoundMethod::net_load_round(comm::FrameReader&,
+                                 const std::vector<TaskSpec>&,
+                                 std::vector<nn::ParamBlob>, std::int64_t) {
+  not_net_capable();
+}
 void RoundMethod::net_end_group() {}
-void RoundMethod::net_encode_upload(const Upload&, comm::FrameWriter&) const {
-  not_net_capable();
-}
-Upload RoundMethod::net_decode_upload(const TaskSpec&, comm::FrameReader&) {
+void RoundMethod::net_assemble_upload(const TaskSpec&,
+                                      const std::vector<comm::WireMessage>&,
+                                      Upload&) {
   not_net_capable();
 }
 void RoundMethod::net_custom_op(std::uint32_t, comm::FrameReader&, std::size_t,
                                 comm::FrameWriter&) {
   not_net_capable();
-}
-void RoundMethod::net_set_worker_mode(bool) {}
-
-void RoundMethod::write_upload_base(const Upload& up, comm::FrameWriter& out) {
-  out.u64(up.work.atom_begin);
-  out.u64(up.work.atom_end);
-  out.u8(up.work.with_aux ? 1 : 0);
-  out.i64(up.work.pgd_steps);
-  out.f64(up.work.mem_scale);
-  out.f64(up.work.flops_scale);
-  out.i64(up.work.planned_mem_bytes);
-  out.i64(up.work.budget_mem_bytes);
-  out.f64(up.work.recompute_fwd_frac);
-  out.f32(up.weight);
-  out.i64(up.bytes_down);
-  out.i64(up.bytes_up);
-  out.i64(up.peak_mem_bytes);
-  out.u8(up.over_budget ? 1 : 0);
-}
-
-void RoundMethod::read_upload_base(Upload& up, comm::FrameReader& in) {
-  up.work.atom_begin = in.u64();
-  up.work.atom_end = in.u64();
-  up.work.with_aux = in.u8() != 0;
-  up.work.pgd_steps = static_cast<int>(in.i64());
-  up.work.mem_scale = in.f64();
-  up.work.flops_scale = in.f64();
-  up.work.planned_mem_bytes = in.i64();
-  up.work.budget_mem_bytes = in.i64();
-  up.work.recompute_fwd_frac = in.f64();
-  up.weight = in.f32();
-  up.bytes_down = in.i64();
-  up.bytes_up = in.i64();
-  up.peak_mem_bytes = in.i64();
-  up.over_budget = in.u8() != 0;
 }
 
 RoundEngine::RoundEngine(FedEnv& env, const FlConfig& cfg)

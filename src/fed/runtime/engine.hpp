@@ -118,44 +118,39 @@ class RoundMethod : public ClientTaskFactory, public UpdateApplier {
   }
 
   // ---- Distributed-runtime hooks (src/net/, DESIGN.md §10) ----------------
-  // A net-capable method can split one dispatch across processes: the root
-  // serializes its per-round context (broadcast WireMessages + scalars), a
-  // worker installs it and runs train_client for its owned tasks, and the
-  // finished uploads travel back as the channel-encoded WireMessages the
-  // worker captured — which the root decodes against its own broadcast
-  // references, reproducing exactly what the fused single-process uplink
-  // would have handed apply_update. Defaults throw: the net layer refuses
-  // methods that don't implement the codecs.
+  // Model traffic never passes through these. On a root with workers the
+  // sync scheduler records begin_dispatch's broadcasts on a comm::WireTape;
+  // a worker records each client's uploads on one. The socket carries those
+  // tapes, so every blob crosses it exactly as the channel encoded it. A
+  // net-capable method adds only the scalar round state the tapes do not
+  // carry, the decode of an uplink tape against its own broadcast
+  // references, and any custom fan-out. Defaults throw: the net layer
+  // refuses methods whose net_capable() is false.
 
-  /// True when the net_* hooks below are implemented (jFAT/FedAvg,
-  /// FedProphet).
+  /// True when the hooks below are implemented (jFAT/FedAvg, FedProphet).
   virtual bool net_capable() const { return false; }
-  /// Root: serialize the dispatch context workers need. Called after
-  /// begin_dispatch, once per dispatch group.
-  virtual void net_save_context(comm::FrameWriter& out) const;
-  /// Worker: install a received dispatch context (the counterpart of
-  /// begin_dispatch's snapshot work; per-client pool bookkeeping runs in
-  /// net_begin_group over the worker's OWNED tasks only).
-  virtual void net_load_context(comm::FrameReader& in);
-  /// Worker: dispatch-lifecycle bracket around one received group.
-  virtual void net_begin_group(const std::vector<TaskSpec>& owned_tasks);
+  /// Root: the scalar round state workers need (stage, eps, lr, ...).
+  /// Called after begin_dispatch, once per dispatch group.
+  virtual void net_save_round(comm::FrameWriter& out) const;
+  /// Worker: begin_dispatch for the worker's OWNED tasks. Reads what
+  /// net_save_round wrote and installs the broadcast: the root's downlink
+  /// tape decoded in recording order, `broadcast_bytes` its wire size.
+  virtual void net_load_round(comm::FrameReader& in,
+                              const std::vector<TaskSpec>& owned,
+                              std::vector<nn::ParamBlob> broadcast,
+                              std::int64_t broadcast_bytes);
+  /// Worker: closes the group net_load_round opened.
   virtual void net_end_group();
-  /// Worker -> root: one finished upload as a frame (base scalars via
-  /// write_upload_base, then the method's payload).
-  virtual void net_encode_upload(const Upload& up,
-                                 comm::FrameWriter& out) const;
-  /// Root <- worker: the inverse of net_encode_upload.
-  virtual Upload net_decode_upload(const TaskSpec& task, comm::FrameReader& in);
+  /// Root: fills up.payload (every other field already set) from a worker's
+  /// uplink tape — train_client's uplinks in call order — decoding each
+  /// message against the broadcast reference the fused uplink used, so
+  /// apply_update gets exactly what the single-process run hands it.
+  virtual void net_assemble_upload(const TaskSpec& task,
+                                   const std::vector<comm::WireMessage>& tape,
+                                   Upload& up);
   /// Worker: method-specific auxiliary op (RemoteDispatcher::run_custom).
   virtual void net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
                              std::size_t client, comm::FrameWriter& out);
-  /// Worker harness toggle: in worker mode train_client stages the encoded
-  /// WireMessages for upload instead of (or alongside) decoded blobs.
-  virtual void net_set_worker_mode(bool on);
-
-  /// Everything in an Upload except the payload, in a fixed field order.
-  static void write_upload_base(const Upload& up, comm::FrameWriter& out);
-  static void read_upload_base(Upload& up, comm::FrameReader& in);
 };
 
 /// What one engine round did (one barrier round, or one async aggregation
@@ -209,8 +204,8 @@ class RoundEngine {
   /// The distributed dispatcher of a root run (nullptr otherwise). Owned by
   /// the net layer, carried on the environment.
   RemoteDispatcher* remote() const { return env_->remote; }
-  /// True on a distributed root with at least one connected worker: methods
-  /// use this to capture encoded broadcasts for net_save_context.
+  /// True on a distributed root with at least one connected worker: the
+  /// sync scheduler then trains dispatch groups remotely.
   bool remote_active() const {
     return env_->remote != nullptr && env_->remote->num_workers() > 0;
   }

@@ -4,15 +4,19 @@
 // The engine and schedulers never touch sockets: on a distributed root, the
 // sync scheduler hands each dispatch group to the RemoteDispatcher the
 // environment carries instead of training in-process, and gets back the
-// same Upload vector the parallel local loop would have produced — decoded
-// through the root's own broadcast references, so aggregation is
-// bit-identical to the single-process run. src/net/ implements this
+// same Upload vector the parallel local loop would have produced — the
+// workers' uplink tapes decoded through the root's own broadcast references,
+// so aggregation is bit-identical to the single-process run. src/net/ implements this
 // interface over TCP; everything above it is transport-agnostic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+namespace fp::comm {
+struct WireTape;
+}
 
 namespace fp::fed {
 
@@ -30,13 +34,15 @@ class RemoteDispatcher {
   /// worker, which is what makes distributed runs hash-match single-process.
   virtual std::size_t num_workers() const = 0;
 
-  /// Ships tasks[begin, end) to their owning workers (context from
-  /// m.net_save_context, uploads back through m.net_decode_upload), filling
-  /// uploads[i - begin] for every i. Returns the group's measured transfer
+  /// Ships tasks[begin, end) to their owning workers with the dispatch's
+  /// recorded `broadcast` tape and m.net_save_round's scalars, and fills
+  /// uploads[i - begin] for every i from the returned uplink tapes through
+  /// m.net_assemble_upload. Returns the group's measured transfer
   /// seconds: group wall time minus the slowest worker's self-reported
   /// compute time — the number the modeled comm_s is checked against.
   /// Throws net::NetError when a worker disconnects or times out mid-group.
-  virtual double run_group(RoundMethod& m, const std::vector<TaskSpec>& tasks,
+  virtual double run_group(RoundMethod& m, const comm::WireTape& broadcast,
+                           const std::vector<TaskSpec>& tasks,
                            std::size_t begin, std::size_t end,
                            std::vector<Upload>& uploads) = 0;
 

@@ -41,9 +41,14 @@ RoundStats SyncScheduler::run_round(RoundEngine& eng, RoundMethod& m,
     }
   }
 
+  // Distributed root (DESIGN.md §10): the dispatch's broadcasts are recorded
+  // as the channel encodes them, and that tape is what the workers train from.
+  const bool remote = eng.remote_active();
+  comm::WireTape broadcast;
   {
     obs::PhaseTimer train_phase(obs::Phase::kTrain);
     FP_TRACE_SCOPE("begin_dispatch", "engine");
+    comm::WireTape::Scope record(remote ? &broadcast : nullptr);
     m.begin_dispatch(tasks);
   }
 
@@ -80,14 +85,14 @@ RoundStats SyncScheduler::run_round(RoundEngine& eng, RoundMethod& m,
       obs::PhaseTimer train_phase(obs::Phase::kTrain);
       FP_TRACE_SCOPE_ARG("wave", "engine", "group",
                          static_cast<std::int64_t>(g));
-      if (eng.remote_active()) {
-        // Distributed root (DESIGN.md §10): the group trains on the connected
-        // workers. The dispatcher returns the same slot-ordered uploads the
-        // local loop would have produced (decoded against this process's own
-        // broadcast references), so everything below — byte accounting, sim
-        // time, apply order — is unchanged and the round is bit-identical.
+      if (remote) {
+        // The group trains on the connected workers. The dispatcher returns
+        // the same slot-ordered uploads the local loop would have produced
+        // (decoded against this process's own broadcast references), so
+        // everything below — byte accounting, sim time, apply order — is
+        // unchanged and the round is bit-identical.
         st.measured_comm_s +=
-            eng.remote()->run_group(m, tasks, begin, end, uploads);
+            eng.remote()->run_group(m, broadcast, tasks, begin, end, uploads);
       } else {
         core::parallel_tasks(static_cast<std::int64_t>(end - begin),
                              [&](std::int64_t ti) {

@@ -32,8 +32,6 @@ data::BatchIterator& FedProphet::client_batches(std::size_t k) {
 }
 
 float FedProphet::current_epsilon() const {
-  // Worker replicas have no APA state: eps arrives with the dispatch context.
-  if (net_ctx_) return net_eps_;
   // Module 1 always trains at the fixed input budget eps_0 (paper footnote 3).
   if (stage_ == 0) return cfg2_.fl.epsilon0;
   return apa_.epsilon();
@@ -47,6 +45,7 @@ std::int64_t FedProphet::input_dim_of_stage() const {
 void FedProphet::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
   clients_.begin_round(tasks);
   round_lr_ = tasks.empty() ? lr_at(global_round_) : tasks.front().lr;
+  round_eps_ = current_epsilon();
 
   // Minimum available performance among the cohort (Eq. 15): the last
   // clients_per_round dispatched devices. A sync barrier round dispatches
@@ -74,27 +73,11 @@ void FedProphet::begin_dispatch(const std::vector<fed::TaskSpec>& tasks) {
     const std::size_t num_modules = cascade_.num_modules();
     const auto& channel = engine().channel();
     broadcast_bytes_ = 0;
-    if (engine().remote_active()) {
-      // Distributed root: capture the encoded broadcast so net_save_context
-      // ships the exact messages; decoding them here is bit- and
-      // byte-identical to the fused downlink both ends run single-process.
-      net_bcast_msg_ = channel.encode_down(model_.save_all());
-      broadcast_bytes_ += net_bcast_msg_.wire_bytes();
-      broadcast_ = channel.decode(net_bcast_msg_);
-      net_aux_msgs_.assign(num_modules, {});
-      broadcast_aux_.assign(num_modules, {});
-      for (std::size_t j = stage_; j < num_modules; ++j) {
-        net_aux_msgs_[j] = channel.encode_down(cascade_.save_aux(j));
-        broadcast_bytes_ += net_aux_msgs_[j].wire_bytes();
-        broadcast_aux_[j] = channel.decode(net_aux_msgs_[j]);
-      }
-    } else {
-      broadcast_ = channel.downlink(model_.save_all(), &broadcast_bytes_);
-      broadcast_aux_.assign(num_modules, {});
-      for (std::size_t j = stage_; j < num_modules; ++j)
-        broadcast_aux_[j] = channel.downlink(cascade_.save_aux(j),
-                                             &broadcast_bytes_);
-    }
+    broadcast_ = channel.downlink(model_.save_all(), &broadcast_bytes_);
+    broadcast_aux_.assign(num_modules, {});
+    for (std::size_t j = stage_; j < num_modules; ++j)
+      broadcast_aux_[j] =
+          channel.downlink(cascade_.save_aux(j), &broadcast_bytes_);
     rebuild_atom_slices();
   }
 }
@@ -113,7 +96,6 @@ void FedProphet::rebuild_atom_slices() {
 
 fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   const std::size_t num_modules = cascade_.num_modules();
-  const float eps = current_epsilon();
   const std::size_t k = task.client;
   Rng build_rng(0);  // replica init is overwritten by the global snapshot
   models::BuiltModel local_model(model_.spec(), build_rng);
@@ -169,7 +151,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   tcfg.module_begin = stage_;
   tcfg.module_end = module_end;
   tcfg.mu = cfg2_.mu;
-  tcfg.eps_in = eps;
+  tcfg.eps_in = round_eps_;
   tcfg.pgd_steps = cfg2_.fl.pgd_steps;
   tcfg.sgd = cfg2_.fl.sgd;
   tcfg.sgd.lr = round_lr_;
@@ -185,36 +167,10 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
   const auto& channel = engine().channel();
   up.weight = task.weight;
   up.bytes_down = broadcast_bytes_;
-  if (net_worker_) {
-    // Worker mode: stage the ENCODED messages — the root decodes them
-    // against its identical broadcast slices, so the aggregated blobs match
-    // the fused uplink bit-for-bit without assuming codec idempotence.
-    NetPayload np;
-    np.atom_begin = trainer.atom_begin();
-    np.atom_end = trainer.atom_end();
-    np.module_end = module_end;
-    np.atoms.reserve(np.atom_end - np.atom_begin);
-    for (std::size_t a = np.atom_begin; a < np.atom_end; ++a) {
-      comm::WireMessage msg =
-          channel.encode_up(local_model.save_atom(a), &broadcast_atoms_[a]);
-      up.bytes_up += msg.wire_bytes();
-      np.atoms.push_back(std::move(msg));
-    }
-    if (local_cascade.aux_head(module_end - 1)) {
-      np.has_aux = true;
-      np.aux = channel.encode_up(local_cascade.save_aux(module_end - 1),
-                                 &broadcast_aux_[module_end - 1]);
-      up.bytes_up += np.aux.wire_bytes();
-    }
-    up.payload = std::move(np);
-    return up;
-  }
   Payload p;
-  p.atom_begin = trainer.atom_begin();
-  p.atom_end = trainer.atom_end();
   p.module_end = module_end;
-  p.atoms.reserve(p.atom_end - p.atom_begin);
-  for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
+  p.atoms.reserve(plan_end - plan_begin);
+  for (std::size_t a = plan_begin; a < plan_end; ++a)
     p.atoms.push_back(channel.uplink(local_model.save_atom(a),
                                      &broadcast_atoms_[a], &up.bytes_up));
   if (local_cascade.aux_head(module_end - 1))
@@ -228,6 +184,7 @@ fed::Upload FedProphet::train_client(const fed::TaskSpec& task) {
 void FedProphet::apply_update(const fed::TaskSpec& /*task*/, fed::Upload&& up,
                               fed::ApplyMode mode, float mix) {
   auto& p = std::any_cast<Payload&>(up.payload);
+  const std::size_t begin = up.work.atom_begin, end = up.work.atom_end;
   if (mode == fed::ApplyMode::kBlend) {
     // One stale update lands as (1-mix)*current + mix*trained on exactly the
     // atoms (and aux head) the client trained; everything else keeps its
@@ -236,10 +193,9 @@ void FedProphet::apply_update(const fed::TaskSpec& /*task*/, fed::Upload&& up,
     // has fed the next stage's budget (Eq. 11) and they must stay frozen.
     const std::size_t active_begin =
         cascade_.partition().modules[stage_].begin;
-    for (std::size_t a = std::max(p.atom_begin, active_begin); a < p.atom_end;
-         ++a) {
+    for (std::size_t a = std::max(begin, active_begin); a < end; ++a) {
       acc_.add_dense_atom_blob(a, model_.save_atom(a), 1.0f - mix);
-      acc_.add_dense_atom_blob(a, p.atoms[a - p.atom_begin], mix);
+      acc_.add_dense_atom_blob(a, p.atoms[a - begin], mix);
     }
     if (!p.aux.empty() && p.module_end >= stage_ + 1) {
       aux_acc_[p.module_end - 1].add(cascade_.save_aux(p.module_end - 1),
@@ -247,8 +203,8 @@ void FedProphet::apply_update(const fed::TaskSpec& /*task*/, fed::Upload&& up,
       aux_acc_[p.module_end - 1].add(p.aux, mix);
     }
   } else {
-    for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
-      acc_.add_dense_atom_blob(a, p.atoms[a - p.atom_begin], up.weight);
+    for (std::size_t a = begin; a < end; ++a)
+      acc_.add_dense_atom_blob(a, p.atoms[a - begin], up.weight);
     if (!p.aux.empty()) aux_acc_[p.module_end - 1].add(p.aux, up.weight);
   }
 }
@@ -328,86 +284,66 @@ void FedProphet::fix_current_module() {
 
 // ---- Distributed-runtime hooks (DESIGN.md §10) ------------------------------
 
-void FedProphet::net_save_context(comm::FrameWriter& out) const {
+void FedProphet::net_save_round(comm::FrameWriter& out) const {
   out.u64(static_cast<std::uint64_t>(stage_));
-  out.f32(current_epsilon());
+  out.f32(round_eps_);
   out.f64(perf_min_);
   out.f32(round_lr_);
-  out.i64(broadcast_bytes_);
-  out.wire_msg(net_bcast_msg_);
-  for (std::size_t j = stage_; j < cascade_.num_modules(); ++j)
-    out.wire_msg(net_aux_msgs_[j]);
 }
 
-void FedProphet::net_load_context(comm::FrameReader& in) {
-  const auto& channel = engine().channel();
+void FedProphet::net_load_round(comm::FrameReader& in,
+                                const std::vector<fed::TaskSpec>& owned,
+                                std::vector<nn::ParamBlob> broadcast,
+                                std::int64_t broadcast_bytes) {
   stage_ = static_cast<std::size_t>(in.u64());
-  net_eps_ = in.f32();
-  net_ctx_ = true;
+  round_eps_ = in.f32();
   perf_min_ = in.f64();
   round_lr_ = in.f32();
-  broadcast_bytes_ = in.i64();
-  broadcast_ = channel.decode(in.wire_msg());
+  // The tape holds begin_dispatch's downlinks in order: the model, then the
+  // aux head of every module from the current stage on.
   const std::size_t num_modules = cascade_.num_modules();
-  broadcast_aux_.assign(num_modules, {});
-  for (std::size_t j = stage_; j < num_modules; ++j)
-    broadcast_aux_[j] = channel.decode(in.wire_msg());
-  rebuild_atom_slices();
-}
-
-void FedProphet::net_begin_group(const std::vector<fed::TaskSpec>& owned) {
+  if (stage_ >= num_modules || broadcast.size() != 1 + num_modules - stage_)
+    throw comm::WireError("FedProphet: broadcast tape of " +
+                          std::to_string(broadcast.size()) +
+                          " blobs does not match stage " +
+                          std::to_string(stage_));
   // Pool bookkeeping over the OWNED tasks only: this worker's per-client
   // dispatch counts advance exactly as the single-process run's do.
   clients_.begin_round(owned);
+  broadcast_ = std::move(broadcast.front());
+  broadcast_aux_.assign(num_modules, {});
+  for (std::size_t j = stage_; j < num_modules; ++j)
+    broadcast_aux_[j] = std::move(broadcast[1 + j - stage_]);
+  broadcast_bytes_ = broadcast_bytes;
+  rebuild_atom_slices();
 }
 
 void FedProphet::net_end_group() { clients_.end_round(); }
 
-void FedProphet::net_encode_upload(const fed::Upload& up,
-                                   comm::FrameWriter& out) const {
-  write_upload_base(up, out);
-  if (up.payload.type() == typeid(NetPayload)) {
-    const auto& p = std::any_cast<const NetPayload&>(up.payload);
-    out.u64(p.atom_begin);
-    out.u64(p.atom_end);
-    out.u64(p.module_end);
-    out.u8(1);  // channel-encoded payload
-    for (const auto& msg : p.atoms) out.wire_msg(msg);
-    out.u8(p.has_aux ? 1 : 0);
-    if (p.has_aux) out.wire_msg(p.aux);
-  } else {
-    const auto& p = std::any_cast<const Payload&>(up.payload);
-    out.u64(p.atom_begin);
-    out.u64(p.atom_end);
-    out.u64(p.module_end);
-    out.u8(0);  // dense fp32 payload (net.codec=identity)
-    for (const auto& blob : p.atoms) out.blob(blob);
-    out.u8(p.aux.empty() ? 0 : 1);
-    if (!p.aux.empty()) out.blob(p.aux);
-  }
-}
-
-fed::Upload FedProphet::net_decode_upload(const fed::TaskSpec& /*task*/,
-                                          comm::FrameReader& in) {
-  fed::Upload up;
-  read_upload_base(up, in);
+void FedProphet::net_assemble_upload(const fed::TaskSpec& /*task*/,
+                                     const std::vector<comm::WireMessage>& tape,
+                                     fed::Upload& up) {
+  // train_client uplinks the trained atoms in order, then the last assigned
+  // module's aux head when it has one. The ClientWork names the atom range,
+  // whose end is the end of the last assigned module.
+  const auto& modules = cascade_.partition().modules;
+  const std::size_t begin = up.work.atom_begin, end = up.work.atom_end;
   Payload p;
-  p.atom_begin = static_cast<std::size_t>(in.u64());
-  p.atom_end = static_cast<std::size_t>(in.u64());
-  p.module_end = static_cast<std::size_t>(in.u64());
-  const bool encoded = in.u8() != 0;
+  while (p.module_end < modules.size() && modules[p.module_end].end <= end)
+    ++p.module_end;
+  if (p.module_end == 0 || modules[p.module_end - 1].end != end ||
+      begin > end || tape.size() < end - begin || tape.size() > end - begin + 1)
+    throw comm::WireError("FedProphet: uplink tape of " +
+                          std::to_string(tape.size()) +
+                          " messages does not match atoms [" +
+                          std::to_string(begin) + ", " + std::to_string(end) +
+                          ")");
   const auto& channel = engine().channel();
-  p.atoms.reserve(p.atom_end - p.atom_begin);
-  for (std::size_t a = p.atom_begin; a < p.atom_end; ++a)
-    p.atoms.push_back(encoded
-                          ? channel.decode(in.wire_msg(), &broadcast_atoms_[a])
-                          : in.blob());
-  if (in.u8() != 0)
-    p.aux = encoded ? channel.decode(in.wire_msg(),
-                                     &broadcast_aux_[p.module_end - 1])
-                    : in.blob();
+  for (std::size_t a = begin; a < end; ++a)
+    p.atoms.push_back(channel.decode(tape[a - begin], &broadcast_atoms_[a]));
+  if (tape.size() > end - begin)
+    p.aux = channel.decode(tape.back(), &broadcast_aux_[p.module_end - 1]);
   up.payload = std::move(p);
-  return up;
 }
 
 void FedProphet::net_custom_op(std::uint32_t op, comm::FrameReader& ctx,

@@ -72,22 +72,13 @@ class FedProphet final : public fed::FederatedAlgorithm {
   const FedProphetConfig& config() const { return cfg2_; }
 
  private:
-  /// Wire payload: the trained atom range, the last assigned module, the
-  /// atom blobs (Eq. 16), and that module's auxiliary head (Eq. 17).
+  /// Wire payload: the last assigned module, the blobs of the trained atoms
+  /// (Eq. 16; the range is the upload's ClientWork [atom_begin, atom_end)),
+  /// and that module's auxiliary head (Eq. 17).
   struct Payload {
-    std::size_t atom_begin = 0, atom_end = 0, module_end = 0;
+    std::size_t module_end = 0;
     std::vector<nn::ParamBlob> atoms;
     nn::ParamBlob aux;
-  };
-
-  /// Worker-mode wire payload: the same structure as Payload, but each blob
-  /// is still the channel-encoded WireMessage captured at uplink time (the
-  /// root decodes against its own broadcast slices).
-  struct NetPayload {
-    std::size_t atom_begin = 0, atom_end = 0, module_end = 0;
-    std::vector<comm::WireMessage> atoms;
-    bool has_aux = false;
-    comm::WireMessage aux;
   };
 
   /// RemoteDispatcher custom op: the fix_current_module ||Delta z|| probe.
@@ -101,22 +92,22 @@ class FedProphet final : public fed::FederatedAlgorithm {
                     fed::ApplyMode mode, float mix) override;
   void finalize_round(std::int64_t t) override;
 
-  // Distributed-runtime hooks (DESIGN.md §10): context = stage + eps +
-  // perf_min + lr + the encoded broadcast (model and live aux heads);
-  // uploads are per-atom/aux WireMessages; the dz probe fans out as a
-  // custom op so worker-owned client streams advance exactly once.
+  // Distributed-runtime hooks (DESIGN.md §10): round state = stage + eps +
+  // perf_min + lr; the model and live aux heads broadcast, and the per-atom
+  // and aux uploads, travel on the channel's wire tapes. The dz probe fans
+  // out as a custom op so worker-owned client streams advance exactly once.
   bool net_capable() const override { return true; }
-  void net_save_context(comm::FrameWriter& out) const override;
-  void net_load_context(comm::FrameReader& in) override;
-  void net_begin_group(const std::vector<fed::TaskSpec>& owned) override;
+  void net_save_round(comm::FrameWriter& out) const override;
+  void net_load_round(comm::FrameReader& in,
+                      const std::vector<fed::TaskSpec>& owned,
+                      std::vector<nn::ParamBlob> broadcast,
+                      std::int64_t broadcast_bytes) override;
   void net_end_group() override;
-  void net_encode_upload(const fed::Upload& up,
-                         comm::FrameWriter& out) const override;
-  fed::Upload net_decode_upload(const fed::TaskSpec& task,
-                                comm::FrameReader& in) override;
+  void net_assemble_upload(const fed::TaskSpec& task,
+                           const std::vector<comm::WireMessage>& tape,
+                           fed::Upload& up) override;
   void net_custom_op(std::uint32_t op, comm::FrameReader& ctx,
                      std::size_t client, comm::FrameWriter& out) override;
-  void net_set_worker_mode(bool on) override { net_worker_ = on; }
   /// FedProphet prices its ClientWork on the trainable backbone (atom ranges
   /// index the cascade partition), not the paper-shape cost spec.
   const sys::ModelSpec& time_spec(const fed::FedEnv&) const override {
@@ -148,17 +139,11 @@ class FedProphet final : public fed::FederatedAlgorithm {
   std::vector<std::size_t> atom_blob_elems_;  ///< save_atom sizes (slicing)
   std::int64_t broadcast_bytes_ = 0;  ///< wire size of one client's download
   float round_lr_ = 0.0f;
+  float round_eps_ = 0.0f;  ///< eps_{m-1} the dispatch trains at
   double perf_min_ = 1.0;  ///< Eq. 15's min available performance
   std::vector<double> perf_window_;  ///< last clients_per_round device speeds
   fed::PartialAccumulator acc_;
   std::vector<fed::BlobAverager> aux_acc_;
-
-  // Distributed runtime (DESIGN.md §10).
-  bool net_worker_ = false;   ///< stage encoded uplinks instead of blobs
-  bool net_ctx_ = false;      ///< a dispatch context has been loaded (worker)
-  float net_eps_ = 0.0f;      ///< eps from context: APA state lives root-side
-  comm::WireMessage net_bcast_msg_;  ///< root: the model broadcast as encoded
-  std::vector<comm::WireMessage> net_aux_msgs_;  ///< root: aux heads encoded
 
   std::size_t stage_ = 0;           ///< current module index m
   std::int64_t global_round_ = 0;   ///< t across all stages

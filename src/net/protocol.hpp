@@ -6,9 +6,10 @@
 //   worker -> root   kMsgHello        {version u32}
 //   root -> worker   kMsgWelcome      {version u32, rank u32, workers u32,
 //                                      resolved_spec_json str}
-//   root -> worker   kMsgGroup        {ctx bytes, ntasks u32, tasks...}
+//   root -> worker   kMsgGroup        {round-state bytes, broadcast tape,
+//                                      ntasks u32, tasks...}
 //   worker -> root   kMsgGroupResult  {ntasks u32, compute_s f64,
-//                                      per-task upload bytes...}
+//                                      per task: upload base, uplink tape}
 //   root -> worker   kMsgCustom       {op u32, ctx bytes, n u32, clients u64...}
 //   worker -> root   kMsgCustomResult {n u32, per-client result bytes...}
 //   worker -> root   kMsgTrace        {obs::serialize_new_events stream}
@@ -24,13 +25,14 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "comm/wire.hpp"
 #include "fed/runtime/engine.hpp"
 
 namespace fp::net {
 
-constexpr std::uint32_t kProtocolVersion = 2;
+constexpr std::uint32_t kProtocolVersion = 3;
 
 enum MsgType : std::uint32_t {
   kMsgHello = 1,
@@ -49,5 +51,15 @@ enum MsgType : std::uint32_t {
 /// the root's scheduler drew.
 void write_task(const fed::TaskSpec& task, comm::FrameWriter& out);
 fed::TaskSpec read_task(comm::FrameReader& in);
+
+/// Everything in an Upload except the payload, in a fixed field order (the
+/// payload travels as the client's uplink tape).
+void write_upload_base(const fed::Upload& up, comm::FrameWriter& out);
+fed::Upload read_upload_base(comm::FrameReader& in);
+
+/// A recorded tape: u32 message count, then each WireMessage.
+void write_tape(const std::vector<comm::WireMessage>& tape,
+                comm::FrameWriter& out);
+std::vector<comm::WireMessage> read_tape(comm::FrameReader& in);
 
 }  // namespace fp::net

@@ -1,22 +1,12 @@
 #include "net/root.hpp"
 
 #include <algorithm>
-#include <chrono>
 
+#include "comm/channel.hpp"
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
 
 namespace fp::net {
-
-namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 RootServer::RootServer(const NetConfig& cfg)
     : cfg_(cfg), listener_(cfg.host, cfg.port) {}
@@ -59,40 +49,56 @@ void RootServer::shutdown() {
   }
 }
 
+std::string RootServer::who(std::size_t rank) const {
+  return "worker " + std::to_string(rank) + " (" + conns_[rank].peer() + ")";
+}
+
+void RootServer::send_checked(std::size_t rank, std::uint32_t type,
+                              const std::vector<std::uint8_t>& body) {
+  try {
+    conns_[rank].send_frame(type, body);
+  } catch (const NetError& e) {
+    throw NetError(who(rank) + ": " + e.what());
+  }
+}
+
 Frame RootServer::recv_checked(std::size_t rank, std::uint32_t expect_type) {
-  const std::string who = "worker " + std::to_string(rank) + " (" +
-                          conns_[rank].peer() + ")";
   Frame f;
   try {
     f = conns_[rank].recv_frame(cfg_.timeout_s);
   } catch (const NetError& e) {
-    throw NetError(who + ": " + e.what() +
+    throw NetError(who(rank) + ": " + e.what() +
                    " — the round cannot complete; restart the worker and the "
                    "run");
   }
   if (f.type == kMsgError) {
     comm::FrameReader in(f.body);
-    throw NetError(who + " reported: " + in.str());
+    throw NetError(who(rank) + " reported: " + in.str());
   }
   if (f.type != expect_type)
-    throw NetError(who + ": expected frame type " +
+    throw NetError(who(rank) + ": expected frame type " +
                    std::to_string(expect_type) + ", got " +
                    std::to_string(f.type));
   return f;
 }
 
 double RootServer::run_group(fed::RoundMethod& m,
+                             const comm::WireTape& broadcast,
                              const std::vector<fed::TaskSpec>& tasks,
                              std::size_t begin, std::size_t end,
                              std::vector<fed::Upload>& uploads) {
   const std::size_t W = conns_.size();
-  const double t0 = now_s();
+  const double t0 = obs::now_s();
 
-  // Serialize the dispatch context once; every owning worker gets the same
-  // bytes.
-  comm::FrameWriter ctxw;
-  m.net_save_context(ctxw);
-  const std::vector<std::uint8_t>& ctx = ctxw.data();
+  // Serialize the dispatch context once: the method's round scalars and the
+  // recorded broadcast tape. Every owning worker gets the same bytes.
+  comm::FrameWriter ctx;
+  {
+    comm::FrameWriter state;
+    m.net_save_round(state);
+    ctx.bytes(state.data());
+  }
+  write_tape(broadcast.messages, ctx);
 
   // Sticky ownership: client k -> worker (k % W), global indices ascending
   // per worker so each worker's per-client bookkeeping runs in slot order.
@@ -102,16 +108,10 @@ double RootServer::run_group(fed::RoundMethod& m,
 
   for (std::size_t w = 0; w < W; ++w) {
     if (owned[w].empty()) continue;
-    comm::FrameWriter out;
-    out.bytes(ctx);
+    comm::FrameWriter out = ctx;
     out.u32(static_cast<std::uint32_t>(owned[w].size()));
     for (const std::size_t i : owned[w]) write_task(tasks[i], out);
-    try {
-      conns_[w].send_frame(kMsgGroup, out.take());
-    } catch (const NetError& e) {
-      throw NetError("worker " + std::to_string(w) + " (" + conns_[w].peer() +
-                     "): " + e.what());
-    }
+    send_checked(w, kMsgGroup, out.take());
   }
 
   double max_compute_s = 0.0;
@@ -121,18 +121,18 @@ double RootServer::run_group(fed::RoundMethod& m,
     comm::FrameReader in(f.body);
     const std::uint32_t n = in.u32();
     if (n != owned[w].size())
-      throw NetError("worker " + std::to_string(w) + ": returned " +
+      throw NetError(who(w) + ": returned " +
                      std::to_string(n) + " uploads for " +
                      std::to_string(owned[w].size()) + " tasks");
     max_compute_s = std::max(max_compute_s, in.f64());
     for (const std::size_t i : owned[w]) {
-      const std::vector<std::uint8_t> frame = in.bytes();
-      comm::FrameReader ur(frame);
-      uploads[i - begin] = m.net_decode_upload(tasks[i], ur);
+      fed::Upload& up = uploads[i - begin];
+      up = read_upload_base(in);
+      m.net_assemble_upload(tasks[i], read_tape(in), up);
     }
   }
 
-  const double measured = std::max(0.0, (now_s() - t0) - max_compute_s);
+  const double measured = std::max(0.0, (obs::now_s() - t0) - max_compute_s);
   measured_s_ += measured;
 
   // Trace piggyback (DESIGN.md §11): each dispatched worker ships its fresh
@@ -167,12 +167,7 @@ std::vector<std::vector<std::uint8_t>> RootServer::run_custom(
     out.u32(static_cast<std::uint32_t>(positions[w].size()));
     for (const std::size_t p : positions[w])
       out.u64(static_cast<std::uint64_t>(clients[p]));
-    try {
-      conns_[w].send_frame(kMsgCustom, out.take());
-    } catch (const NetError& e) {
-      throw NetError("worker " + std::to_string(w) + " (" + conns_[w].peer() +
-                     "): " + e.what());
-    }
+    send_checked(w, kMsgCustom, out.take());
   }
 
   std::vector<std::vector<std::uint8_t>> results(clients.size());
@@ -182,7 +177,7 @@ std::vector<std::vector<std::uint8_t>> RootServer::run_custom(
     comm::FrameReader in(f.body);
     const std::uint32_t n = in.u32();
     if (n != positions[w].size())
-      throw NetError("worker " + std::to_string(w) + ": returned " +
+      throw NetError(who(w) + ": returned " +
                      std::to_string(n) + " custom results for " +
                      std::to_string(positions[w].size()) + " clients");
     for (const std::size_t p : positions[w]) results[p] = in.bytes();

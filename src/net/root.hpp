@@ -3,10 +3,11 @@
 //
 // The root owns ALL server state (model, accumulators, schedulers, device
 // sampling); workers only ever hold per-round replicas. One dispatch group
-// flows as: net_save_context once -> kMsgGroup to every owning worker (all
-// sends complete before any receive, so workers compute concurrently) ->
-// kMsgGroupResult per worker, decoded through the method's own broadcast
-// references in global slot order. A worker that disconnects or exceeds
+// flows as: the recorded broadcast tape + net_save_round once -> kMsgGroup
+// to every owning worker (all sends complete before any receive, so workers
+// compute concurrently) -> kMsgGroupResult per worker, whose uplink tapes
+// net_assemble_upload decodes against the method's own broadcast references
+// in global slot order. A worker that disconnects or exceeds
 // net.timeout_s mid-round fails the round with a NetError naming the worker.
 #pragma once
 
@@ -46,7 +47,7 @@ class RootServer final : public fed::RemoteDispatcher {
 
   // fed::RemoteDispatcher
   std::size_t num_workers() const override { return conns_.size(); }
-  double run_group(fed::RoundMethod& m,
+  double run_group(fed::RoundMethod& m, const comm::WireTape& broadcast,
                    const std::vector<fed::TaskSpec>& tasks, std::size_t begin,
                    std::size_t end, std::vector<fed::Upload>& uploads) override;
   std::vector<std::vector<std::uint8_t>> run_custom(
@@ -57,6 +58,11 @@ class RootServer final : public fed::RemoteDispatcher {
   double measured_comm_s() const override { return measured_s_; }
 
  private:
+  /// "worker <rank> (<peer>)", the prefix of every diagnostic.
+  std::string who(std::size_t rank) const;
+  /// send_frame, rethrowing a transport failure naming the worker.
+  void send_checked(std::size_t rank, std::uint32_t type,
+                    const std::vector<std::uint8_t>& body);
   /// recv_frame bounded by cfg.timeout_s; kMsgError becomes a NetError and
   /// any transport failure is rethrown naming the worker.
   Frame recv_checked(std::size_t rank, std::uint32_t expect_type);

@@ -1,7 +1,6 @@
 #include "net/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "core/parallel.hpp"
@@ -10,16 +9,6 @@
 #include "obs/trace.hpp"
 
 namespace fp::net {
-
-namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 NetConfig net_config_of(const exp::ExperimentSpec& spec) {
   NetConfig cfg;
@@ -112,6 +101,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
       exp::method_registry().resolve(setup.spec.method);
   exp::MethodRun run = factory(setup);
   fed::RoundMethod& m = *run.algo;
+  fed::RoundEngine& engine = run.algo->engine();
   if (!m.net_capable()) {
     comm::FrameWriter err;
     err.str("method " + setup.spec.method + " has no distributed hooks");
@@ -121,7 +111,7 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
   }
   // net.codec=auto ships the comm codec's encoded messages; identity ships
   // dense fp32 blobs. Both decode to the same values root-side.
-  m.net_set_worker_mode(setup.spec.net_codec != "identity");
+  const bool dense_uplinks = setup.spec.net_codec == "identity";
 
   // Observability follows the root's resolved spec, so both ends agree on
   // whether kMsgTrace frames exist. A worker never writes its own trace
@@ -145,33 +135,41 @@ void run_worker(const exp::ExperimentSpec& cli_spec) {
           // below, so each group's frame carries its own serving span.
           FP_TRACE_SCOPE("serve_group", "net");
           comm::FrameReader gin(f.body);
-          const std::vector<std::uint8_t> ctx = gin.bytes();
-          {
-            comm::FrameReader cr(ctx);
-            m.net_load_context(cr);
+          const std::vector<std::uint8_t> state = gin.bytes();
+          std::vector<nn::ParamBlob> broadcast;
+          std::int64_t broadcast_bytes = 0;
+          for (const comm::WireMessage& msg : read_tape(gin)) {
+            broadcast_bytes += msg.wire_bytes();
+            broadcast.push_back(engine.channel().decode(msg));
           }
           const std::uint32_t n = gin.u32();
           std::vector<fed::TaskSpec> tasks;
           tasks.reserve(n);
           for (std::uint32_t i = 0; i < n; ++i) tasks.push_back(read_task(gin));
-          m.net_begin_group(tasks);
+          {
+            comm::FrameReader sr(state);
+            m.net_load_round(sr, tasks, std::move(broadcast), broadcast_bytes);
+          }
+          // Each client's uplinks are recorded as the channel encodes them;
+          // the tape, not the decoded payload, is what goes back to the root.
           std::vector<fed::Upload> uploads(n);
-          const double t0 = now_s();
+          std::vector<comm::WireTape> tapes(n);
+          const double t0 = obs::now_s();
           core::parallel_tasks(static_cast<std::int64_t>(n),
-                               [&](std::int64_t i) {
-                                 uploads[static_cast<std::size_t>(i)] =
-                                     run.algo->engine().run_client(
-                                         m, tasks[static_cast<std::size_t>(i)]);
+                               [&](std::int64_t ti) {
+                                 const auto i = static_cast<std::size_t>(ti);
+                                 tapes[i].record_decoded = dense_uplinks;
+                                 comm::WireTape::Scope record(&tapes[i]);
+                                 uploads[i] = engine.run_client(m, tasks[i]);
                                });
-          const double compute_s = now_s() - t0;
+          const double compute_s = obs::now_s() - t0;
           m.net_end_group();
           comm::FrameWriter out;
           out.u32(n);
           out.f64(compute_s);
           for (std::uint32_t i = 0; i < n; ++i) {
-            comm::FrameWriter uw;
-            m.net_encode_upload(uploads[i], uw);
-            out.bytes(uw.data());
+            write_upload_base(uploads[i], out);
+            write_tape(tapes[i].messages, out);
           }
           conn.send_frame(kMsgGroupResult, out.take());
         }

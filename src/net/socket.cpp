@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace fp::net {
 
@@ -29,11 +30,6 @@ struct FrameHeader {
   std::uint64_t body_len;
 };
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetError(what + ": " + std::strerror(errno));
@@ -103,12 +99,12 @@ void TcpConn::close() {
 
 TcpConn TcpConn::connect_retry(const std::string& host, int port,
                                double total_s) {
-  const double deadline = now_s() + total_s;
+  const double deadline = obs::now_s() + total_s;
   double backoff_s = 0.05;
   for (;;) {
     const int fd = try_connect(host, port);
     if (fd >= 0) return TcpConn(fd, host + ":" + std::to_string(port));
-    if (now_s() + backoff_s > deadline)
+    if (obs::now_s() + backoff_s > deadline)
       throw NetError("connect to " + host + ":" + std::to_string(port) +
                      " failed after " + std::to_string(total_s) + "s");
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
@@ -148,10 +144,10 @@ void TcpConn::send_bytes(const void* data, std::size_t n) {
 
 std::ptrdiff_t TcpConn::recv_some(void* buf, std::size_t cap, double timeout_s) {
   if (fd_ < 0) throw NetError("recv on closed connection to " + peer_);
-  const double deadline = timeout_s > 0.0 ? now_s() + timeout_s : 0.0;
+  const double deadline = timeout_s > 0.0 ? obs::now_s() + timeout_s : 0.0;
   for (;;) {
     if (deadline > 0.0) {
-      const double left = deadline - now_s();
+      const double left = deadline - obs::now_s();
       if (left <= 0.0) return -1;
       pollfd pfd{fd_, POLLIN, 0};
       const int ready =
@@ -180,7 +176,7 @@ void TcpConn::read_all(void* data, std::size_t n, double deadline_s) {
   std::size_t got = 0;
   while (got < n) {
     if (deadline_s > 0.0) {
-      const double left = deadline_s - now_s();
+      const double left = deadline_s - obs::now_s();
       if (left <= 0.0)
         throw NetError("recv from " + peer_ + " timed out");
       pollfd pfd{fd_, POLLIN, 0};
@@ -208,7 +204,7 @@ void TcpConn::read_all(void* data, std::size_t n, double deadline_s) {
 
 Frame TcpConn::recv_frame(double timeout_s) {
   if (fd_ < 0) throw NetError("recv on closed connection to " + peer_);
-  const double deadline = timeout_s > 0.0 ? now_s() + timeout_s : 0.0;
+  const double deadline = timeout_s > 0.0 ? obs::now_s() + timeout_s : 0.0;
   FrameHeader hdr{};
   read_all(&hdr, sizeof(hdr), deadline);
   if (hdr.magic != kMagic)
@@ -259,10 +255,10 @@ TcpListener::~TcpListener() {
 }
 
 TcpConn TcpListener::accept(double timeout_s) {
-  const double deadline = timeout_s > 0.0 ? now_s() + timeout_s : 0.0;
+  const double deadline = timeout_s > 0.0 ? obs::now_s() + timeout_s : 0.0;
   for (;;) {
     if (deadline > 0.0) {
-      const double left = deadline - now_s();
+      const double left = deadline - obs::now_s();
       if (left <= 0.0) throw NetError("accept timed out");
       pollfd pfd{fd_, POLLIN, 0};
       const int ready =

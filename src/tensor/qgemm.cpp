@@ -222,7 +222,8 @@ __attribute__((target("avx512f,avx512vl,avx2"))) void quantize_row_avx512(
   if (absmax == 0.0f) {
     *scale = 0.0f;
     *sum = 0;
-    std::memset(codes, 0, static_cast<std::size_t>(k_padded));
+    // k == 0 packs no codes: `codes` may then be null.
+    if (k_padded > 0) std::memset(codes, 0, static_cast<std::size_t>(k_padded));
     return;
   }
   const float step = quant::symmetric_step(absmax, 8);

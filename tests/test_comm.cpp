@@ -10,6 +10,7 @@
 //   run is bit-identical across thread counts.
 // * The network model converts wire sizes into transfer time only when
 //   enabled, so historical sim-time goldens stay untouched by default.
+// * A bound WireTape records exactly the messages the channel encoded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -246,6 +247,56 @@ TEST(Channel, TopKDownlinkStaysDenseEvenWhenCompressed) {
   const auto decoded = channel.uplink(update, &blob, &up_bytes);
   EXPECT_LT(up_bytes, down_bytes);
   EXPECT_EQ(decoded[7], update[7]);
+}
+
+TEST(WireTape, RecordsWhatTheChannelEncodedWhileBound) {
+  comm::CommConfig cfg;
+  cfg.codec = comm::CodecKind::kTopK;
+  comm::Channel channel(cfg);
+  const auto ref = random_blob(300, 51);
+  auto update = ref;
+  for (std::size_t i = 0; i < update.size(); i += 7) update[i] += 1.0f;
+
+  // The fused reference, with no tape bound.
+  comm::WireTape tape;
+  std::int64_t fused_bytes = 0;
+  const auto down = channel.downlink(ref, &fused_bytes);
+  const auto up = channel.uplink(update, &ref, &fused_bytes);
+
+  std::int64_t bytes = 0;
+  {
+    comm::WireTape::Scope record(&tape);
+    EXPECT_EQ(channel.downlink(ref, &bytes), down);
+    {
+      comm::WireTape::Scope off(nullptr);  // nested unbinding
+      channel.uplink(update, &ref, nullptr);
+    }
+    EXPECT_EQ(channel.uplink(update, &ref, &bytes), up);
+  }
+  channel.uplink(update, &ref, nullptr);  // the scope has ended
+  EXPECT_EQ(bytes, fused_bytes);
+
+  // One dense broadcast, then the top-k delta upload: each message decodes
+  // (against the sender's reference) to what the fused path returned, and
+  // their sizes are the modeled byte counts.
+  ASSERT_EQ(tape.messages.size(), 2u);
+  EXPECT_EQ(tape.messages[0].kind, comm::CodecKind::kIdentity);
+  EXPECT_EQ(tape.messages[1].kind, comm::CodecKind::kTopK);
+  EXPECT_EQ(channel.decode(tape.messages[0]), down);
+  EXPECT_EQ(channel.decode(tape.messages[1], &ref), up);
+  EXPECT_EQ(tape.messages[0].wire_bytes() + tape.messages[1].wire_bytes(),
+            fused_bytes);
+
+  // record_decoded ships the decoded blob densely instead.
+  comm::WireTape dense;
+  dense.record_decoded = true;
+  {
+    comm::WireTape::Scope record(&dense);
+    channel.uplink(update, &ref, nullptr);
+  }
+  ASSERT_EQ(dense.messages.size(), 1u);
+  EXPECT_EQ(dense.messages[0].kind, comm::CodecKind::kIdentity);
+  EXPECT_EQ(channel.decode(dense.messages[0]), up);
 }
 
 // ---- end-to-end: compressed training through the engine ---------------------

@@ -3,8 +3,14 @@
 // The contract (core/parallel.hpp): per-client RNG streams, client-ordered
 // server aggregation, and partition-independent kernel summation make a
 // round's result a pure function of the seed — FP_NUM_THREADS must only
-// change wall-clock, never a single bit of the aggregates.
+// change wall-clock, never a single bit of the aggregates. A task that
+// throws inside the pool surfaces on the caller and leaves the pool usable.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "baselines/jfat.hpp"
 #include "core/parallel.hpp"
@@ -95,6 +101,63 @@ TEST(Determinism, FedProphetTrainBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(traces[0].size(), traces[1].size());
   for (std::size_t i = 0; i < traces[0].size(); ++i)
     ASSERT_EQ(traces[0][i], traces[1][i]) << "eps trace diverged at round " << i;
+}
+
+// ---- pool exception safety --------------------------------------------------
+
+TEST(ThreadPool, TaskExceptionReachesCallerAndPoolStaysUsable) {
+  core::set_num_threads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr std::int64_t kTasks = 64;
+
+  // The caller's own index throws while workers are still inside theirs:
+  // each worker holds its index until the caller has claimed one (it must,
+  // since only three indices are held), so the caller cannot unwind early.
+  std::atomic<bool> caller_claimed{false};
+  try {
+    core::parallel_tasks(kTasks, [&](std::int64_t) {
+      if (std::this_thread::get_id() == caller) {
+        caller_claimed = true;
+        throw std::runtime_error("caller task failed");
+      }
+      while (!caller_claimed) std::this_thread::yield();
+    });
+    FAIL() << "expected the caller's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller task failed");
+  }
+  EXPECT_FALSE(core::in_parallel_region());
+
+  // A worker throws from the back half of the range; the caller blocks in
+  // its own task until that has happened, so the failure is a worker's.
+  std::atomic<bool> worker_threw{false};
+  try {
+    core::parallel_tasks(kTasks, [&](std::int64_t i) {
+      if (std::this_thread::get_id() == caller) {
+        while (!worker_threw) std::this_thread::yield();
+        return;
+      }
+      if (i >= kTasks / 2) {
+        worker_threw = true;
+        throw std::runtime_error("worker task failed");
+      }
+    });
+    FAIL() << "expected the worker's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker task failed");
+  }
+
+  // The pool still runs every index of the next region exactly once.
+  std::vector<std::atomic<int>> hits(kTasks);
+  core::parallel_tasks(kTasks, [&](std::int64_t i) { ++hits[i]; });
+  for (std::int64_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // The inline path (one thread) unwinds out of its region mark too.
+  core::set_num_threads(1);
+  EXPECT_THROW(core::parallel_tasks(
+                   2, [](std::int64_t) { throw std::runtime_error("inline"); }),
+               std::runtime_error);
+  EXPECT_FALSE(core::in_parallel_region());
 }
 
 }  // namespace

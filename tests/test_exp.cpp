@@ -172,6 +172,37 @@ TEST(ExperimentSpec, ResolvedSpecRoundTripsAndIsIdempotent) {
   EXPECT_TRUE(exp::specs_equal(spec, reparsed));
 }
 
+TEST(ExperimentSpec, ResolveRejectsOutOfRangeValuesNamingTheKey) {
+  struct Case {
+    const char* override_kv;
+    const char* key;  ///< the dotted key the SpecError must name
+  };
+  const Case cases[] = {
+      {"fl.batch_size=0", "fl.batch_size"},
+      {"fl.batch_size=-4", "fl.batch_size"},
+      {"model.width=0", "model.width"},
+      {"fl.pgd_steps=-1", "fl.pgd_steps"},
+      {"fl.clients_per_round=7", "fl.clients_per_round"},  // num_clients = 6
+  };
+  for (const Case& c : cases) {
+    exp::ExperimentSpec spec = tiny_spec("jFAT");
+    exp::apply_override(spec, c.override_kv);
+    try {
+      exp::resolve_spec(spec, /*fast=*/true);
+      ADD_FAILURE() << c.override_kv << " resolved without a SpecError";
+    } catch (const exp::SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << c.override_kv << ": " << e.what();
+    }
+  }
+  // The boundary values themselves are valid.
+  exp::ExperimentSpec edge = tiny_spec("jFAT");
+  for (const char* kv : {"fl.batch_size=1", "model.width=1", "fl.pgd_steps=0",
+                         "fl.clients_per_round=6"})
+    exp::apply_override(edge, kv);
+  EXPECT_NO_THROW(exp::resolve_spec(edge, /*fast=*/true));
+}
+
 TEST(ExperimentSpec, NestedAndDottedConfigFormsAgree) {
   exp::ExperimentSpec nested = exp::spec_from_json(
       "{\"fl\": {\"num_clients\": 7, \"sgd\": {\"lr\": 0.125}},"

@@ -9,8 +9,8 @@
 //   name suggestions; serve_root rejects unsupported specs before listening.
 // * Equivalence (the acceptance bar): a root + 2 loopback workers produces a
 //   history and final metrics IDENTICAL to the single-process run — for jFAT
-//   and FedProphet, under identity and int8 wire codecs — because the worker
-//   ships the encoded messages the fused path would have produced.
+//   and FedProphet, under identity, int8, int8 shipped dense and top-k wires
+//   — because the worker ships the uplink tape the fused path encoded.
 // * Failure: a worker that drops mid-round fails the round with a diagnostic
 //   naming the worker, within net.timeout_s.
 #include <gtest/gtest.h>
@@ -53,6 +53,11 @@ TEST(WireFrame, EveryFieldTypeRoundTrips) {
   w.bytes({9, 8, 7});
   w.blob(nn::ParamBlob{0.5f, -0.5f, 3.0f});
   w.wire_msg(msg);
+  // Empty containers: zero-length reads must not touch their (null) data.
+  w.str("");
+  w.bytes({});
+  w.blob(nn::ParamBlob{});
+  w.wire_msg(comm::WireMessage{});
 
   comm::FrameReader r(w.data());
   EXPECT_EQ(r.u8(), 0xab);
@@ -69,6 +74,13 @@ TEST(WireFrame, EveryFieldTypeRoundTrips) {
   EXPECT_EQ(back.delta, msg.delta);
   EXPECT_EQ(back.num_elems, msg.num_elems);
   EXPECT_EQ(back.payload, msg.payload);
+  EXPECT_EQ(r.str(), "");
+  EXPECT_TRUE(r.bytes().empty());
+  EXPECT_TRUE(r.blob().empty());
+  const comm::WireMessage empty = r.wire_msg();
+  EXPECT_EQ(empty.kind, comm::CodecKind::kIdentity);
+  EXPECT_EQ(empty.num_elems, 0u);
+  EXPECT_TRUE(empty.payload.empty());
   EXPECT_TRUE(r.done());
 }
 
@@ -305,21 +317,28 @@ exp::RunResult run_distributed(exp::ExperimentSpec spec, std::size_t workers) {
   std::vector<std::thread> threads;
   std::mutex mu;
   std::vector<std::string> errors;
-  exp::RunResult r = net::serve_root(spec, [&](int port) {
-    for (std::size_t w = 0; w < workers; ++w)
-      threads.emplace_back([&, port] {
-        try {
-          exp::ExperimentSpec ws;
-          ws.net_host = "127.0.0.1";
-          ws.net_port = port;
-          ws.net_retry_s = 30.0;
-          net::run_worker(ws);
-        } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(mu);
-          errors.emplace_back(e.what());
-        }
-      });
-  });
+  exp::RunResult r;
+  try {
+    r = net::serve_root(spec, [&](int port) {
+      for (std::size_t w = 0; w < workers; ++w)
+        threads.emplace_back([&, port] {
+          try {
+            exp::ExperimentSpec ws;
+            ws.net_host = "127.0.0.1";
+            ws.net_port = port;
+            ws.net_retry_s = 30.0;
+            net::run_worker(ws);
+          } catch (const std::exception& e) {
+            std::lock_guard<std::mutex> lock(mu);
+            errors.emplace_back(e.what());
+          }
+        });
+    });
+  } catch (...) {
+    // The failed root has shut its workers down: join them, then report.
+    for (auto& t : threads) t.join();
+    throw;
+  }
   for (auto& t : threads) t.join();
   EXPECT_TRUE(errors.empty()) << errors.front();
   return r;
@@ -360,47 +379,48 @@ void expect_equivalent(const exp::RunResult& local,
   EXPECT_GT(dist.net_rx_bytes, 0);
 }
 
-TEST(NetEquivalence, JfatIdentityWire) {
-  const exp::ExperimentSpec spec = tiny_net_spec("jFAT");
+/// One equivalence case: a method and the overrides selecting its wire.
+struct EquivalenceCase {
+  const char* name;
+  const char* method;
+  std::vector<std::string> overrides;
+  friend void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+    *os << c.method << c.name;
+  }
+};
+
+class NetEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(NetEquivalence, DistributedRunMatchesSingleProcess) {
+  exp::ExperimentSpec spec = tiny_net_spec(GetParam().method);
+  for (const auto& kv : GetParam().overrides) exp::apply_override(spec, kv);
   const exp::RunResult local = exp::run_experiment(spec);
   const exp::RunResult dist = run_distributed(spec, 2);
   expect_equivalent(local, dist);
   EXPECT_EQ(local.history.back().measured_comm_s, 0.0);
 }
 
-TEST(NetEquivalence, JfatInt8Wire) {
-  exp::ExperimentSpec spec = tiny_net_spec("jFAT");
-  exp::apply_override(spec, "comm.codec=int8");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
+// {jFAT, FedProphet} x {identity, int8, int8 shipped dense, top-k}. With
+// net.codec=identity the worker ships decoded fp32 blobs while the comm
+// accounting still models int8; top-k is the codec whose root-side uplink
+// decode needs the broadcast reference.
+std::vector<EquivalenceCase> equivalence_cases() {
+  std::vector<EquivalenceCase> cases;
+  for (const char* method : {"jFAT", "FedProphet"}) {
+    cases.push_back({"Identity", method, {}});
+    cases.push_back({"Int8", method, {"comm.codec=int8"}});
+    cases.push_back(
+        {"Int8ShippedDense", method, {"comm.codec=int8", "net.codec=identity"}});
+    cases.push_back({"TopK", method, {"comm.codec=topk"}});
+  }
+  return cases;
 }
 
-TEST(NetEquivalence, JfatInt8CodecDenseWire) {
-  // net.codec=identity ships decoded fp32 blobs while the comm accounting
-  // still models int8 — the history must STILL match single-process exactly.
-  exp::ExperimentSpec spec = tiny_net_spec("jFAT");
-  exp::apply_override(spec, "comm.codec=int8");
-  exp::apply_override(spec, "net.codec=identity");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
-
-TEST(NetEquivalence, FedProphetIdentityWire) {
-  const exp::ExperimentSpec spec = tiny_net_spec("FedProphet");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
-
-TEST(NetEquivalence, FedProphetInt8Wire) {
-  exp::ExperimentSpec spec = tiny_net_spec("FedProphet");
-  exp::apply_override(spec, "comm.codec=int8");
-  const exp::RunResult local = exp::run_experiment(spec);
-  const exp::RunResult dist = run_distributed(spec, 2);
-  expect_equivalent(local, dist);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Wire, NetEquivalence, ::testing::ValuesIn(equivalence_cases()),
+    [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
+      return std::string(info.param.method) + info.param.name;
+    });
 
 // ---- failure semantics ------------------------------------------------------
 
